@@ -2,7 +2,9 @@
 //! exactly-once semantics for remote tuple-space operations under bursty
 //! radio loss (the remote-op analogue of the migration lost-ack tests).
 
-use agilla::{workload, AgillaConfig, AgillaNetwork, Environment};
+use agilla::scenario::Perturbation;
+use agilla::testbed::{Testbed, Trial};
+use agilla::{workload, AgillaConfig, AgillaNetwork, EnergyConfig, Environment};
 use agilla_tuplespace::{Field, Template, TemplateField};
 use proptest::prelude::*;
 use wsn_common::{AgentId, Location, NodeId};
@@ -454,4 +456,82 @@ fn network_survives_killing_half_the_grid() {
     net.run_for(SimDuration::from_secs(2));
     assert!(net.log().halted_at(id).is_some());
     assert_eq!(net.metrics().counter("faults.nodes_killed"), 10);
+}
+
+/// Everything a trial can observably produce, flattened to strings.
+fn observables(t: &Trial) -> (String, Vec<String>, u64, u64) {
+    let metrics = t
+        .net
+        .metrics()
+        .counters()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    (
+        format!("{:?}", t.net.log().records()),
+        metrics,
+        t.net.medium().frames_sent(),
+        t.net.now().as_micros(),
+    )
+}
+
+#[test]
+fn killing_a_border_mote_mid_frame_is_deterministic() {
+    // The 5×5 lossy grid under sustained migration traffic, with the mote
+    // at (3,1) fault-injected mid-run — at 5 s beacons and migration
+    // frames are in flight, so the kill lands between a transmission and
+    // its fanout. Replaying the same spec must reproduce every observable.
+    let run = || {
+        Testbed::lossy_5x5(AgillaConfig::default(), 0xDEAD)
+            .trial(3)
+            .inject(workload::smove_test_agent(
+                Location::new(5, 5),
+                Location::new(1, 1),
+            ))
+            .run(SimDuration::from_millis(5_100))
+            .perturb(Perturbation::KillNode(Location::new(3, 1)))
+            .run(SimDuration::from_secs(15))
+            .execute()
+    };
+    let first = run();
+    assert!(first
+        .net
+        .is_dead(first.net.node_at(Location::new(3, 1)).unwrap()));
+    assert_eq!(observables(&first), observables(&run()));
+}
+
+#[test]
+fn battery_death_removes_a_mote_from_every_neighbor_list() {
+    // Battery depletion is the path that *removes* the mote from the
+    // radio topology mid-run (fault injection only marks it dead), so it
+    // exercises `Topology::remove_node` against the live cell grid.
+    let config = AgillaConfig {
+        energy: EnergyConfig::with_battery(0.5),
+        ..AgillaConfig::default()
+    };
+    let mut net = Testbed::lossy_5x5(config, 0xBA77).trial(9).build();
+    net.inject_source(&workload::smove_test_agent(
+        Location::new(4, 4),
+        Location::new(1, 1),
+    ))
+    .unwrap();
+    // Check every second, so the invariant is seen while some motes have
+    // died and others still run.
+    let mut saw_partial_death = false;
+    for _ in 0..60 {
+        net.run_for(SimDuration::from_secs(1));
+        let topo = net.medium().topology();
+        let (dead, survivors): (Vec<NodeId>, Vec<NodeId>) =
+            topo.nodes().partition(|&n| net.is_dead(n));
+        saw_partial_death |= !dead.is_empty() && !survivors.is_empty();
+        for &s in &survivors {
+            let listed = topo.neighbors(s);
+            for d in &dead {
+                assert!(!listed.contains(d), "{d} still a neighbor of {s}");
+            }
+            let full_scan: Vec<NodeId> =
+                topo.nodes().filter(|&o| topo.are_neighbors(s, o)).collect();
+            assert_eq!(listed, full_scan, "neighbors of {s}");
+        }
+    }
+    assert!(saw_partial_death, "batteries died at different times");
 }
