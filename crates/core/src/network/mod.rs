@@ -46,6 +46,10 @@ use crate::wire::{self, am, Envelope, MigAck, MigData, MigHeader, MigNack, RtsRe
 
 use session::SessionIdGen;
 
+/// Upper bound (exclusive) of the random delay, in µs, added to each beacon
+/// re-arm on top of the beacon period, so neighbors do not lock step.
+const BEACON_JITTER_US: u64 = 100_000;
+
 /// Simulation events.
 #[derive(Debug, Clone)]
 enum Event {
@@ -1692,7 +1696,7 @@ impl AgillaNetwork {
             now,
             SimDuration::ZERO,
         );
-        let jitter = self.rng_mac[idx].range_u64(0, 100_000);
+        let jitter = self.rng_mac[idx].range_u64(0, BEACON_JITTER_US);
         self.queue.schedule(
             now + self.config.beacon_period + SimDuration::from_micros(jitter),
             Event::Beacon { node: node_id },
@@ -1878,5 +1882,25 @@ impl Host for HostView<'_> {
 
     fn deregister_reaction(&mut self, owner: AgentId, template: &Template) -> bool {
         self.registry.deregister(owner, template).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The 1 s beacon re-arm is the dominant timer of a large field. While
+    /// the period plus its jitter stays inside the event queue's wheel
+    /// horizon, each re-arm lands in an O(1) wheel bucket; a longer default
+    /// period would send every beacon back through the far heap.
+    #[test]
+    fn beacon_rearm_fits_inside_the_wheel_horizon() {
+        let period = AgillaConfig::default().beacon_period.as_micros();
+        assert!(
+            period + BEACON_JITTER_US <= wsn_sim::WHEEL_HORIZON_US,
+            "beacon period {period} µs + jitter {BEACON_JITTER_US} µs exceeds the \
+             {} µs wheel horizon",
+            wsn_sim::WHEEL_HORIZON_US
+        );
     }
 }

@@ -73,13 +73,15 @@ pub struct Medium {
     rng: Vec<RngStream>,
     /// Per directed link (src, dst): burst channel state.
     burst_state: HashMap<(NodeId, NodeId), GilbertElliott>,
-    /// Per receiver: time until which its radio is busy receiving.
-    rx_busy_until: HashMap<NodeId, SimTime>,
-    /// In-flight transmissions: (transmitter, busy-until). Kept as a small
-    /// pruned list rather than a map over every node that ever transmitted:
-    /// carrier sensing scans this on each TX attempt, and at any instant
-    /// only a handful of frames are in the air.
-    tx_busy: Vec<(NodeId, SimTime)>,
+    /// Per receiver (indexed by node): time until which its radio is busy
+    /// receiving.
+    rx_busy_until: Vec<SimTime>,
+    /// Per transmitter (indexed by node): the end of its latest frame, so
+    /// the node is on the air while `tx_until[node] > now`. Carrier sense
+    /// reads only the entries of the sensing node and of the candidates in
+    /// the topology's 3×3 cell neighborhood, so its cost follows local
+    /// density rather than the number of frames in flight network-wide.
+    tx_until: Vec<SimTime>,
     frames_sent: u64,
     frames_lost: u64,
     /// Extra air time prepended to every frame: the stretched preamble of a
@@ -96,16 +98,15 @@ impl Medium {
     /// transmitter.
     pub fn new(topology: Topology, loss: LossModel, seed: u64) -> Self {
         let root = RngStream::derive(seed, "radio.medium");
-        let rng = (0..topology.len())
-            .map(|i| root.substream(i as u64))
-            .collect();
+        let n = topology.len();
+        let rng = (0..n).map(|i| root.substream(i as u64)).collect();
         Medium {
             topology,
             loss,
             rng,
             burst_state: HashMap::new(),
-            rx_busy_until: HashMap::new(),
-            tx_busy: Vec::new(),
+            rx_busy_until: vec![SimTime::ZERO; n],
+            tx_until: vec![SimTime::ZERO; n],
             frames_sent: 0,
             frames_lost: 0,
             preamble_stretch: SimDuration::ZERO,
@@ -180,12 +181,24 @@ impl Medium {
         frame.air_time() + self.preamble_stretch
     }
 
-    /// Whether the channel is sensed busy at `node` (another node in range is
-    /// transmitting). Used by the MAC for CSMA.
+    /// Whether the channel is sensed busy at `node`: its own latest frame,
+    /// or that of a node currently in range, is still on the air. Used by
+    /// the MAC for CSMA.
+    ///
+    /// The neighbor relation is evaluated now, at sense time, so links
+    /// severed, healed or moved mid-frame, and motes removed mid-frame,
+    /// count exactly as the topology stands at `now`.
+    ///
+    /// Calls to `channel_busy` and [`Medium::transmit`] must come in
+    /// non-decreasing `now` order, as an event-driven MAC makes them:
+    /// only each transmitter's latest frame is remembered, so sensing back
+    /// in time, before that frame started, would miss an earlier frame of
+    /// the same node that was on the air then.
     pub fn channel_busy(&self, now: SimTime, node: NodeId) -> bool {
-        self.tx_busy.iter().any(|&(tx, until)| {
-            until > now && (tx == node || self.topology.are_neighbors(tx, node))
-        })
+        self.tx_until[node.index()] > now
+            || self
+                .topology
+                .any_neighbor(node, |n| self.tx_until[n.index()] > now)
     }
 
     /// Transmits `frame` starting at `now`; returns one [`TxBatch`] covering
@@ -196,11 +209,7 @@ impl Medium {
         let air = self.effective_air_time(frame);
         let end = now + air;
         self.frames_sent += 1;
-        // Drop finished transmissions, then record this one (replacing the
-        // sender's previous entry if it is somehow still listed).
-        self.tx_busy
-            .retain(|&(tx, until)| until > now && tx != frame.src);
-        self.tx_busy.push((frame.src, end));
+        self.tx_until[frame.src.index()] = end;
         if let Some(ledger) = self.energy.as_mut() {
             // The sender pays for the whole transmission, stretched preamble
             // included — the LPL bargain: senders spend more so idle
@@ -241,15 +250,11 @@ impl Medium {
         dst: NodeId,
     ) -> DeliveryOutcome {
         // Collision: the receiver is still capturing a previous frame.
-        let busy_until = self
-            .rx_busy_until
-            .get(&dst)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        if busy_until > now {
+        let busy_until = &mut self.rx_busy_until[dst.index()];
+        if *busy_until > now {
             return DeliveryOutcome::LostCollision;
         }
-        self.rx_busy_until.insert(dst, end);
+        *busy_until = end;
 
         // Burst state for this directed link. The directed (src, dst) state
         // is only ever advanced while `src` transmits, so drawing from the

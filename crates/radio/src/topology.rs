@@ -103,6 +103,16 @@ impl CellGrid {
     /// cell by cell in row-major order (ids ascend within a cell but not
     /// across cells — callers wanting global id order must sort).
     fn for_each_nearby(&self, p: Location, mut f: impl FnMut(NodeId)) {
+        self.any_nearby(p, |n| {
+            f(n);
+            false
+        });
+    }
+
+    /// Whether `f` holds for some member of the 3×3 cell neighborhood
+    /// around `p`, visiting members in [`CellGrid::for_each_nearby`] order
+    /// and stopping at the first hit.
+    fn any_nearby(&self, p: Location, mut f: impl FnMut(NodeId) -> bool) -> bool {
         let (cx, cy) = self.cell_coords(p);
         for dy in -1..=1i64 {
             let y = cy + dy;
@@ -114,11 +124,15 @@ impl CellGrid {
                 if x < 0 || x >= self.cols as i64 {
                     continue;
                 }
-                for &n in &self.members[y as usize * self.cols + x as usize] {
-                    f(n);
+                if self.members[y as usize * self.cols + x as usize]
+                    .iter()
+                    .any(|&n| f(n))
+                {
+                    return true;
                 }
             }
         }
+        false
     }
 }
 
@@ -358,6 +372,20 @@ impl Topology {
             });
         out.sort_unstable();
         out
+    }
+
+    /// Whether some neighbor `n` of `node` satisfies `pred(n)`.
+    ///
+    /// The allocation-free, early-exit form of
+    /// `neighbors(node).into_iter().any(pred)`: candidates come from the
+    /// same 3×3 cell neighborhood, and `pred` runs first so a cheap test
+    /// spares the [`Topology::are_neighbors`] check on most candidates.
+    /// Candidates are visited in cell order, not id order, so `pred`
+    /// should be free of side effects.
+    pub(crate) fn any_neighbor(&self, node: NodeId, mut pred: impl FnMut(NodeId) -> bool) -> bool {
+        self.grid.any_nearby(self.positions[node.index()], |n| {
+            pred(n) && self.are_neighbors(n, node)
+        })
     }
 
     /// Minimum hop count between two nodes (BFS over the neighbor relation),

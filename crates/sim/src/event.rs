@@ -1,10 +1,11 @@
 //! Cancellable, deterministic event queue.
 //!
-//! Implemented as a hierarchical calendar queue: a fixed wheel of 256
-//! buckets, each 1024 µs wide, absorbs the
-//! dominant short-horizon timers (engine steps, MAC backoffs, frame
-//! arrivals) with O(1) scheduling, while events beyond the wheel's horizon
-//! wait in an overflow heap and are re-bucketed when the window advances.
+//! Implemented as a hierarchical calendar queue: a ring of 2,048 buckets,
+//! each 1024 µs wide, rolls with the clock and absorbs every event due
+//! within ~2.1 s of it — engine steps, MAC backoffs, frame arrivals, and
+//! the 1 s beacon re-arms with their jitter — with O(1) scheduling. Events
+//! further out wait in an overflow heap and move into the ring as the
+//! clock comes within one horizon of them.
 //! Cancellation is O(1) through a slab of generation-tagged slots — no
 //! tombstone set to hash into, and stale entries are compacted away when
 //! they outnumber live ones, so a cancel/reschedule-heavy workload (MAC
@@ -15,13 +16,15 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// Buckets in the calendar wheel (one window spans ~262 ms of virtual time).
-const WHEEL_BUCKETS: usize = 256;
+/// Buckets in the calendar wheel (the ring spans ~2.1 s of virtual time).
+const WHEEL_BUCKETS: usize = 2048;
 /// log2 of the bucket width in microseconds (1024 µs per bucket).
 const BUCKET_SHIFT: u64 = 10;
-/// Wheel horizon in microseconds: events this far past the window base
-/// overflow into the far heap.
-const HORIZON_US: u64 = (WHEEL_BUCKETS as u64) << BUCKET_SHIFT;
+/// Wheel horizon in microseconds (2,096,128 µs): every event scheduled less
+/// than this far past the clock lands in a wheel bucket in O(1). It is one
+/// bucket short of the ring's span because the clock may sit anywhere in
+/// its own bucket.
+pub const WHEEL_HORIZON_US: u64 = ((WHEEL_BUCKETS - 1) as u64) << BUCKET_SHIFT;
 /// Minimum physical size before tombstone compaction is considered.
 const COMPACT_MIN: usize = 128;
 
@@ -113,18 +116,20 @@ impl<E> Ord for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Entries of the bucket the cursor points at, sorted by `(at, seq)`.
+    /// Entries of the cursor's bucket, sorted by `(at, seq)`.
     current: VecDeque<Entry<E>>,
-    /// Unsorted future buckets of the active window.
+    /// Unsorted future buckets: absolute bucket `b` (`at >> BUCKET_SHIFT`)
+    /// with `cursor < b < cursor + WHEEL_BUCKETS` lives in ring slot
+    /// `b % WHEEL_BUCKETS`.
     wheel: Vec<Vec<Entry<E>>>,
     /// Occupancy bitmap over `wheel` (bit per bucket).
     occupied: [u64; WHEEL_BUCKETS / 64],
-    /// Events at or past `base + HORIZON`, ordered by `(at, seq)`.
+    /// Events at least one ring span past the cursor's bucket, ordered by
+    /// `(at, seq)`, so every one of them is later than every wheel entry.
     far: BinaryHeap<Reverse<Entry<E>>>,
-    /// Virtual time of bucket 0 of the active window, µs.
-    base_us: u64,
-    /// Bucket index `current` corresponds to.
-    cursor: usize,
+    /// Absolute bucket of `current`. Between calls it is the clock's
+    /// bucket, so nothing is ever scheduled behind it.
+    cursor: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
     /// Pending (live) events.
@@ -144,7 +149,6 @@ impl<E> EventQueue<E> {
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; WHEEL_BUCKETS / 64],
             far: BinaryHeap::new(),
-            base_us: 0,
             cursor: 0,
             slots: Vec::new(),
             free: Vec::new(),
@@ -231,12 +235,11 @@ impl<E> EventQueue<E> {
                 self.dispatched += 1;
                 return Some((entry.at, entry.payload));
             }
-            if !self.advance_window() {
-                // Queue drained: re-anchor the window at the clock so the
-                // window-never-ahead-of-`now` invariant holds for whatever
-                // gets scheduled next.
-                self.base_us = (self.now.as_micros() >> BUCKET_SHIFT) << BUCKET_SHIFT;
-                self.cursor = 0;
+            if !self.advance() {
+                // Queue drained: park the cursor back on the clock's bucket
+                // (stale entries may have carried it further), where the
+                // next schedule, clamped to `now`, can land.
+                self.cursor = bucket_of(self.now);
                 return None;
             }
         }
@@ -258,9 +261,10 @@ impl<E> EventQueue<E> {
                 None => break,
             }
         }
-        // The wheel: the lowest occupied bucket holds the next event. Drop
-        // stale entries while scanning so the bucket's emptiness is real.
-        while let Some(b) = self.lowest_occupied() {
+        // The wheel: the first occupied bucket after the cursor holds the
+        // next event. Drop stale entries while scanning so the bucket's
+        // emptiness is real.
+        while let Some(b) = self.next_occupied() {
             let slots = &self.slots;
             let bucket = &mut self.wheel[b];
             let before = bucket.len();
@@ -274,7 +278,8 @@ impl<E> EventQueue<E> {
             }
             self.clear_occupied(b);
         }
-        // The far heap: discard stale tops, peek the first live one.
+        // The far heap, whose entries all follow the wheel's: discard stale
+        // tops, peek the first live one.
         while let Some(Reverse(e)) = self.far.peek() {
             if self.entry_live(e) {
                 return Some(e.at);
@@ -319,77 +324,89 @@ impl<E> EventQueue<E> {
         self.free.push(slot as u32);
     }
 
-    fn bucket_of(&self, at: SimTime) -> u64 {
-        (at.as_micros() - self.base_us) >> BUCKET_SHIFT
-    }
-
     fn place(&mut self, entry: Entry<E>) {
-        // `at >= now >= base + cursor * width` (the schedule clamp plus the
-        // window invariant), so the index never lands before the cursor.
-        let idx = self.bucket_of(entry.at);
-        if idx == self.cursor as u64 {
+        // `at >= now` and the cursor is the clock's bucket, so an entry
+        // never lands behind the cursor.
+        let b = bucket_of(entry.at);
+        debug_assert!(b >= self.cursor, "scheduled behind the cursor");
+        if b == self.cursor {
             let pos = self
                 .current
                 .partition_point(|e| (e.at, e.seq) < (entry.at, entry.seq));
             self.current.insert(pos, entry);
-        } else if idx < WHEEL_BUCKETS as u64 {
-            self.wheel[idx as usize].push(entry);
-            self.set_occupied(idx as usize);
+        } else if b - self.cursor < WHEEL_BUCKETS as u64 {
+            let s = ring_slot(b);
+            self.wheel[s].push(entry);
+            self.set_occupied(s);
         } else {
             self.far.push(Reverse(entry));
         }
     }
 
-    fn set_occupied(&mut self, b: usize) {
-        self.occupied[b / 64] |= 1 << (b % 64);
+    fn set_occupied(&mut self, s: usize) {
+        self.occupied[s / 64] |= 1 << (s % 64);
     }
 
-    fn clear_occupied(&mut self, b: usize) {
-        self.occupied[b / 64] &= !(1 << (b % 64));
+    fn clear_occupied(&mut self, s: usize) {
+        self.occupied[s / 64] &= !(1 << (s % 64));
     }
 
-    fn lowest_occupied(&self) -> Option<usize> {
-        for (w, bits) in self.occupied.iter().enumerate() {
-            if *bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
+    /// The ring slot of the first occupied bucket after the cursor, in ring
+    /// order. The cursor's own slot is always empty (its entries live in
+    /// `current`), so the scan may start there: its word from the cursor's
+    /// bit up, the words after it around the ring, and last the low bits
+    /// of its word, which are the ring's far end.
+    fn next_occupied(&self) -> Option<usize> {
+        let start = ring_slot(self.cursor);
+        let (w0, bit) = (start / 64, start % 64);
+        let at = |w: usize, bits: u64| w * 64 + bits.trailing_zeros() as usize;
+        let high = self.occupied[w0] & (!0u64 << bit);
+        if high != 0 {
+            return Some(at(w0, high));
+        }
+        let words = self.occupied.len();
+        for w in (w0 + 1..words).chain(0..w0) {
+            if self.occupied[w] != 0 {
+                return Some(at(w, self.occupied[w]));
             }
         }
-        None
+        let low = self.occupied[w0] & !(!0u64 << bit);
+        (low != 0).then(|| at(w0, low))
     }
 
-    /// Promotes the next non-empty bucket into `current`, refilling the
-    /// window from the far heap when the wheel runs dry. Returns `false`
-    /// when no physical entries remain anywhere.
-    fn advance_window(&mut self) -> bool {
-        loop {
-            if let Some(b) = self.lowest_occupied() {
-                self.cursor = b;
-                self.clear_occupied(b);
-                let mut bucket = std::mem::take(&mut self.wheel[b]);
-                bucket.sort_unstable_by_key(|e| (e.at, e.seq));
-                debug_assert!(self.current.is_empty());
-                self.current = bucket.into();
-                return true;
+    /// Moves the cursor to the next non-empty bucket, pulls the far entries
+    /// the horizon now reaches into their ring slots, and promotes the
+    /// cursor's bucket into `current`. Returns `false` when no physical
+    /// entries remain anywhere.
+    fn advance(&mut self) -> bool {
+        self.cursor = match self.next_occupied() {
+            Some(s) => {
+                let ahead = (s + WHEEL_BUCKETS - ring_slot(self.cursor)) % WHEEL_BUCKETS;
+                self.cursor + ahead as u64
             }
-            if self.far.is_empty() {
-                return false;
+            None => match self.far.peek() {
+                Some(Reverse(e)) => bucket_of(e.at),
+                None => return false,
+            },
+        };
+        let limit = self.cursor + WHEEL_BUCKETS as u64;
+        while let Some(Reverse(e)) = self.far.peek() {
+            let b = bucket_of(e.at);
+            if b >= limit {
+                break;
             }
-            // Jump the window to the far heap's earliest entry and pull
-            // everything within one horizon of it back into buckets.
-            let min_at = self.far.peek().map(|Reverse(e)| e.at).expect("non-empty");
-            self.base_us = (min_at.as_micros() >> BUCKET_SHIFT) << BUCKET_SHIFT;
-            self.cursor = 0;
-            let limit = self.base_us + HORIZON_US;
-            while let Some(Reverse(e)) = self.far.peek() {
-                if e.at.as_micros() >= limit {
-                    break;
-                }
-                let Reverse(entry) = self.far.pop().expect("peeked");
-                let idx = self.bucket_of(entry.at) as usize;
-                self.wheel[idx].push(entry);
-                self.set_occupied(idx);
-            }
+            let Reverse(entry) = self.far.pop().expect("peeked");
+            let s = ring_slot(b);
+            self.wheel[s].push(entry);
+            self.set_occupied(s);
         }
+        let s = ring_slot(self.cursor);
+        self.clear_occupied(s);
+        let mut bucket = std::mem::take(&mut self.wheel[s]);
+        bucket.sort_unstable_by_key(|e| (e.at, e.seq));
+        debug_assert!(self.current.is_empty());
+        self.current = bucket.into();
+        true
     }
 
     /// Sweeps stale entries out of every structure once they outnumber the
@@ -418,6 +435,16 @@ impl<E> EventQueue<E> {
             .into();
         self.tombstones = 0;
     }
+}
+
+/// Absolute bucket of `at`.
+fn bucket_of(at: SimTime) -> u64 {
+    at.as_micros() >> BUCKET_SHIFT
+}
+
+/// Ring slot holding absolute bucket `b`.
+fn ring_slot(b: u64) -> usize {
+    (b % WHEEL_BUCKETS as u64) as usize
 }
 
 impl<E> Default for EventQueue<E> {
@@ -559,7 +586,8 @@ mod tests {
     #[test]
     fn far_future_events_cross_the_wheel_horizon() {
         let mut q = EventQueue::new();
-        // Beyond one window (262 ms), into the far heap, plus a near event.
+        // Beyond the wheel horizon (~2.1 s), into the far heap, plus a near
+        // event.
         q.schedule(SimTime::from_micros(3_600_000_000), "beacon");
         q.schedule(SimTime::from_micros(5), "near");
         q.schedule(SimTime::from_micros(500_000), "mid");
@@ -573,6 +601,40 @@ mod tests {
         let (t, e) = q.pop().unwrap();
         assert_eq!(e, "clamped");
         assert_eq!(t, SimTime::from_micros(3_600_000_000));
+    }
+
+    #[test]
+    fn rearms_within_the_horizon_stay_on_the_rolling_wheel() {
+        // The beacon pattern: each pop re-arms its timer ~1.05 s ahead.
+        // The ring rolls with the clock, so over many revolutions no re-arm
+        // ever reaches the far heap, and an event beyond the horizon moves
+        // onto the wheel and pops in order as the clock nears it.
+        let mut q = EventQueue::new();
+        for i in 0..8u64 {
+            q.schedule(SimTime::from_micros(i * 131_071), ("beacon", i));
+        }
+        let late = SimTime::from_micros(7 * WHEEL_HORIZON_US + 3);
+        q.schedule(late, ("late", 0));
+        let mut last = SimTime::ZERO;
+        let mut saw_late = false;
+        while let Some((t, (kind, i))) = q.pop() {
+            assert!(t >= last, "time regression at {t:?}");
+            last = t;
+            if kind == "late" {
+                assert_eq!(t, late);
+                saw_late = true;
+            } else if t < SimTime::from_micros(10 * WHEEL_HORIZON_US) {
+                q.schedule(
+                    t + crate::SimDuration::from_micros(1_050_000 + i),
+                    (kind, i),
+                );
+                assert!(
+                    q.far.len() <= 1,
+                    "a re-arm inside the horizon left the wheel"
+                );
+            }
+        }
+        assert!(saw_late && q.far.is_empty());
     }
 
     #[test]
@@ -729,12 +791,12 @@ mod tests {
 
         /// Random interleavings of schedule / cancel / peek_time / pop match the
         /// pre-refactor heap queue operation for operation — the contract
-        /// every figure's byte-identity rests on. Times spread across three
-        /// orders of magnitude so the wheel, the current bucket, and the far
-        /// heap all participate.
+        /// every figure's byte-identity rests on. Times spread across four
+        /// wheel horizons so the current bucket, the wheel, the far heap and
+        /// the moves from it onto the rolling wheel all participate.
         #[test]
         fn prop_matches_reference_queue(
-            ops in proptest::collection::vec((0u8..5, 0u64..3_000_000), 1..300),
+            ops in proptest::collection::vec((0u8..5, 0u64..4 * WHEEL_HORIZON_US), 1..300),
         ) {
             let mut q = EventQueue::new();
             let mut m = ModelQueue::new();

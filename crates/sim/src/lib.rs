@@ -42,7 +42,7 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::{EventId, EventQueue};
+pub use event::{EventId, EventQueue, WHEEL_HORIZON_US};
 pub use metrics::{CounterId, Histogram, HistogramId, LatencyRecorder, Metrics};
 pub use rng::RngStream;
 pub use time::{SimDuration, SimTime};
